@@ -109,14 +109,11 @@ struct MutationBench {
     query_p50_us: f64,
     query_p99_us: f64,
     query_errors: usize,
-    /// Concurrent writers in the group-commit A/B runs.
+    /// Concurrent writers in the group-commit run.
     group_writers: usize,
-    /// Sustained batches/s with group commit disabled (one fsync per
-    /// caller — the pre-group-commit write path).
-    group_commit_off_batches_per_s: f64,
-    /// Sustained batches/s with group commit on (concurrent callers
-    /// share one fsync).
-    group_commit_on_batches_per_s: f64,
+    /// Sustained batches/s from `group_writers` concurrent callers, which
+    /// group commit lets share one fsync.
+    group_commit_batches_per_s: f64,
 }
 
 #[derive(Serialize)]
@@ -531,20 +528,17 @@ fn main() {
         query_lat.extend(lat);
         query_errors += errs;
     }
-    // Group-commit A/B: the same single-op churn from concurrent
-    // writers, once with every caller paying its own fsync (the
-    // pre-group-commit write path) and once with concurrent callers
-    // sharing one (the default).
+    // Group commit: the same single-op churn from concurrent writers,
+    // whose callers share fsyncs.
     let group_writers = 4usize;
     let per_writer = 150usize;
-    let group_run = |on: bool, round: usize| -> f64 {
-        live.set_group_commit(on);
+    let group_commit_batches_per_s = {
         let t = Instant::now();
         let handles: Vec<_> = (0..group_writers)
             .map(|w| {
                 std::thread::spawn(move || {
                     for i in 0..per_writer {
-                        let key = (round * group_writers + w) * per_writer + i;
+                        let key = (group_writers + w) * per_writer + i;
                         let (s, r, o) = churn_triple(key);
                         let op = if i % 2 == 0 { "insert" } else { "delete" };
                         let body =
@@ -561,12 +555,7 @@ fn main() {
         }
         (group_writers * per_writer) as f64 / t.elapsed().as_secs_f64()
     };
-    let group_commit_off_batches_per_s = group_run(false, 1);
-    let group_commit_on_batches_per_s = group_run(true, 2);
-    println!(
-        "  group commit ({group_writers} writers): off {group_commit_off_batches_per_s:.0} \
-         batches/s -> on {group_commit_on_batches_per_s:.0} batches/s"
-    );
+    println!("  group commit ({group_writers} writers): {group_commit_batches_per_s:.0} batches/s");
 
     let m = live.metrics();
     let mutation = MutationBench {
@@ -585,8 +574,7 @@ fn main() {
         query_p99_us: percentile(&mut query_lat, 0.99),
         query_errors,
         group_writers,
-        group_commit_off_batches_per_s,
-        group_commit_on_batches_per_s,
+        group_commit_batches_per_s,
     };
     println!(
         "  POST /v1/admin/mutate: {:.0} batches/s (apply p50 {:.0}us p99 {:.0}us); \

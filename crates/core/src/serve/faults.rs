@@ -16,7 +16,7 @@
 //!   |---|---|
 //!   | `shard_latency=<idx\|*>:<ms>` | sleep `ms` inside matching shard tasks |
 //!   | `shard_panic=<idx\|*>[:<times>]` | panic in matching shard tasks (`times` omitted = every time) |
-//!   | `worker_panic[=<times>]` | kill a batch worker thread (default once) |
+//!   | `worker_panic[=<times>]` | kill an executor thread on task receipt, in batch and shard pools alike (default once) |
 //!   | `io_error` | fail snapshot loads with an injected I/O error |
 //!   | `wal_crash=<n>` | abort the process right after the `n`-th WAL record is fsynced (1-based), before it is applied in memory |
 //!   | `compact_crash` | abort the process mid-compaction, after the snapshot rewrite but before the WAL truncate |
@@ -27,9 +27,9 @@
 //!   other's faults) and uninstalls the plan on drop.
 //!
 //! The module also hosts the process-global robustness counters that
-//! have no per-server home ([`shard_retries`], [`worker_respawns`]) —
-//! they are incremented by the supervision code in `sharded`/`mod` and
-//! surfaced through `GET /metrics`.
+//! have no per-server home ([`SHARD_RETRIES`], [`WORKER_RESPAWNS`]) —
+//! they are incremented by the shard retry in `sharded` and the respawn
+//! in `executor`, and surfaced through `GET /metrics`.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -65,8 +65,8 @@ pub struct FaultPlan {
     /// Panics injected in matching shard tasks; the `u32` is how many
     /// times to fire ([`ALWAYS`] = unlimited).
     pub shard_panic: Vec<(ShardSel, u32)>,
-    /// How many batch-pool worker threads to kill (0 = none,
-    /// [`ALWAYS`] = every job).
+    /// How many executor threads to kill on task receipt (0 = none,
+    /// [`ALWAYS`] = every task).
     pub worker_panic: u32,
     /// Fail snapshot loads with an injected `io::Error`.
     pub io_error: bool,
@@ -288,7 +288,7 @@ fn take(left: &AtomicU32) -> bool {
 
 /// Injection point at the start of a shard task: injected latency, then
 /// injected panic. Called by the supervised fan-out in
-/// [`super::sharded`]; the panic is caught at the pool boundary.
+/// [`super::sharded`]; the panic is caught by the task's unwind guard.
 #[inline]
 pub fn on_shard_task(shard: usize) {
     let Some(a) = active() else { return };
@@ -304,9 +304,9 @@ pub fn on_shard_task(shard: usize) {
     }
 }
 
-/// Injection point in the batch-pool worker loop, *outside* the
-/// per-query `catch_unwind` — a fired fault kills the worker thread,
-/// exercising the pool's respawn supervision.
+/// Injection point in the executor's thread loop, on task receipt and
+/// *outside* the task's `catch_unwind` — a fired fault kills the thread
+/// and drops the task unrun, exercising the executor's respawn.
 #[inline]
 pub fn on_worker_job() {
     let Some(a) = active() else { return };
@@ -363,8 +363,8 @@ pub fn maybe_compact_crash() {
 /// in `GET /metrics` as `robustness.shard_retries`).
 pub static SHARD_RETRIES: AtomicU64 = AtomicU64::new(0);
 
-/// Dead batch-pool workers replaced by supervision (process-global;
-/// surfaced in `GET /metrics` as `robustness.worker_respawns`).
+/// Dead executor threads replaced at submit (process-global; surfaced
+/// in `GET /metrics` as `robustness.worker_respawns`).
 pub static WORKER_RESPAWNS: AtomicU64 = AtomicU64::new(0);
 
 /// Cheap time-derived jitter in `0..max_ms` milliseconds for retry

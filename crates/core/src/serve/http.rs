@@ -927,13 +927,7 @@ pub fn request_with_retries(
         let Some(secs) = retry_after_secs(&head) else {
             break;
         };
-        let jitter_ms = u64::from(
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.subsec_nanos())
-                .unwrap_or(0),
-        ) % 250;
-        std::thread::sleep(Duration::from_secs(secs.min(5)) + Duration::from_millis(jitter_ms));
+        std::thread::sleep(Duration::from_secs(secs.min(5)) + faults::jitter(250));
         (status, head, resp_body) = request_once(addr, method, path, body)?;
     }
     Ok((status, resp_body))

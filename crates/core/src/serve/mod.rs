@@ -17,9 +17,9 @@
 //!
 //! Both produce the same typed [`Answer`], so evaluation, the CLI, and
 //! batch serving ([`WorkerPool`]) are written once against
-//! `Arc<dyn KgReasoner + Send + Sync>`. [`ShardedReasoner`] composes N
-//! entity-partitioned reasoners behind the same trait for graphs too
-//! large for one exhaustive scorer pass.
+//! `Arc<dyn KgReasoner + Send + Sync>`. [`ShardedReasoner`] range-splits
+//! one KGE scorer over N entity shards behind the same trait for graphs
+//! too large for one exhaustive scorer pass.
 //!
 //! # Serving performance architecture
 //!
@@ -41,10 +41,14 @@
 //!    return the memoized ranking without touching the engine;
 //!    `top_k` truncation happens after the cache, so any cutoff shares
 //!    one entry. Hits are byte-identical to recomputation.
-//! 3. **Pool** ([`WorkerPool`]): a persistent, channel-fed worker pool
-//!    (engine per worker thread, spawned once) serves batches.
-//!    Work-stealing over an atomic cursor keeps stragglers from
-//!    serializing a batch.
+//! 3. **Pool** ([`WorkerPool`]): batches run on persistent threads
+//!    (engine per thread, spawned once). Work-stealing over an atomic
+//!    cursor keeps stragglers from serializing a batch.
+//!
+//! The worker pool and the shard fan-out share one thread-pool
+//! implementation, `executor::Executor`: persistent threads fed from
+//! one channel, each task under one unwind guard, dead threads replaced
+//! on the next submit (see `docs/robustness.md`).
 //!
 //! # Remote serving
 //!
@@ -90,8 +94,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, RwLock};
 
 use mmkgr_embed::TripleScorer;
 use mmkgr_kg::{EntityId, GraphHandle, KnowledgeGraph, RelationId, RelationSpace};
@@ -100,6 +103,7 @@ use serde::{Deserialize, Serialize, Value};
 use crate::beam::{with_thread_engine, BeamConfig};
 use crate::infer::{BeamPath, RolloutPolicy};
 
+mod executor;
 pub mod faults;
 pub mod http;
 pub mod mutation;
@@ -1120,22 +1124,6 @@ impl<S: TripleScorer> KgReasoner for ScorerReasoner<S> {
 
 // ---------------------------------------------------------------- batch
 
-/// Shared state of one in-flight batch. Workers steal indices from
-/// `next`, stash answers locally, then flush under one lock; the worker
-/// that fills the last slot signals `done_tx`. A reasoner panic is
-/// caught, recorded in `panicked`, and re-raised at the submitter (so
-/// the pool's threads survive, matching the old `thread::scope`
-/// behaviour of propagating the panic to the caller).
-#[derive(Clone)]
-struct BatchJob {
-    queries: Arc<Vec<Query>>,
-    next: Arc<AtomicUsize>,
-    slots: Arc<Mutex<Vec<Option<Answer>>>>,
-    filled: Arc<AtomicUsize>,
-    panicked: Arc<Mutex<Option<String>>>,
-    done_tx: mpsc::Sender<()>,
-}
-
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -1146,126 +1134,56 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A persistent serving pool: `workers` OS threads spawned **once**,
-/// each holding its own clone of the reasoner `Arc` (and, for path
-/// reasoners, its own thread-local beam engine), fed batches over a
-/// channel. Replaces the per-call `thread::scope` fan-out — repeated
-/// small batches no longer pay thread spawn/join latency.
+/// A persistent serving pool: `workers` threads of one
+/// `executor::Executor`, spawned **once**, each with its own
+/// thread-local beam engine. Repeated small batches pay no thread
+/// spawn/join latency.
 ///
-/// Results come back in query order and are identical to calling
-/// [`KgReasoner::answer`] sequentially (each query is answered
+/// A batch is offered as one task per worker; the tasks steal query
+/// indices from a shared atomic cursor, so a straggler never serializes
+/// the batch. Results come back in query order and are identical to
+/// calling [`KgReasoner::answer`] sequentially (each query is answered
 /// independently; candidate order is fully deterministic). Dropping the
-/// pool closes the channel and joins the workers.
+/// pool joins the workers.
 pub struct WorkerPool {
     reasoner: Arc<dyn KgReasoner + Send + Sync>,
-    tx: Option<mpsc::Sender<BatchJob>>,
-    rx: Arc<Mutex<mpsc::Receiver<BatchJob>>>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    workers: usize,
+    executor: executor::Executor,
 }
 
-fn spawn_pool_worker(
-    reasoner: Arc<dyn KgReasoner + Send + Sync>,
-    rx: Arc<Mutex<mpsc::Receiver<BatchJob>>>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || loop {
-        // One receiver, shared: idle workers block here.
-        let job = match rx.lock().unwrap().recv() {
-            Ok(job) => job,
-            Err(_) => return, // pool dropped
-        };
-        // Chaos hook, deliberately *outside* the per-query catch_unwind:
-        // a fired fault kills this thread and exercises the respawn
-        // supervision in `ensure_workers`. No query index has been
-        // claimed yet, so the batch loses capacity but never answers.
-        faults::on_worker_job();
-        let total = job.queries.len();
-        let mut local: Vec<(usize, Answer)> = Vec::new();
-        loop {
-            let i = job.next.fetch_add(1, Ordering::Relaxed);
-            if i >= total {
-                break;
-            }
-            let reasoner = &reasoner;
-            let queries = &job.queries;
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                reasoner.answer(&queries[i])
-            })) {
-                Ok(a) => local.push((i, a)),
-                Err(payload) => {
-                    *job.panicked.lock().unwrap() = Some(panic_message(&*payload));
-                    let _ = job.done_tx.send(());
-                    break;
-                }
-            }
-        }
-        if local.is_empty() {
-            continue;
-        }
-        let count = local.len();
-        {
-            let mut slots = job.slots.lock().unwrap();
-            for (i, a) in local {
-                slots[i] = Some(a);
-            }
-        }
-        if job.filled.fetch_add(count, Ordering::AcqRel) + count == total {
-            // Submitter may already have gone away on panic;
-            // a closed channel is fine.
-            let _ = job.done_tx.send(());
-        }
-    })
-}
+/// One offer of a batch: every task's answered `(index, answer)` pairs.
+type Offer = mpsc::Receiver<executor::Reply<Vec<(usize, Answer)>>>;
 
 impl WorkerPool {
     pub fn new(reasoner: Arc<dyn KgReasoner + Send + Sync>, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx) = mpsc::channel::<BatchJob>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..workers)
-            .map(|_| spawn_pool_worker(Arc::clone(&reasoner), Arc::clone(&rx)))
-            .collect();
         WorkerPool {
             reasoner,
-            tx: Some(tx),
-            rx,
-            handles: Mutex::new(handles),
-            workers,
+            executor: executor::Executor::new(workers),
         }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.executor.threads()
     }
 
-    /// Respawn supervision: replace any worker thread that died (a panic
-    /// that escaped the per-query guard — e.g. an injected chaos fault).
-    /// Returns how many workers were respawned; each bumps the global
-    /// [`faults::WORKER_RESPAWNS`] counter.
-    fn ensure_workers(&self) -> usize {
-        let mut handles = self.handles.lock().unwrap();
-        let mut respawned = 0;
-        for h in handles.iter_mut() {
-            if h.is_finished() {
-                let fresh = spawn_pool_worker(Arc::clone(&self.reasoner), Arc::clone(&self.rx));
-                let _ = std::mem::replace(h, fresh).join();
-                respawned += 1;
+    /// Queue one cursor-draining task per worker. A task that finds the
+    /// cursor exhausted replies with nothing.
+    fn offer(&self, queries: &Arc<Vec<Query>>, next: &Arc<AtomicUsize>) -> Offer {
+        self.executor.submit((0..self.workers()).map(|_| {
+            let reasoner = Arc::clone(&self.reasoner);
+            let queries = Arc::clone(queries);
+            let next = Arc::clone(next);
+            move || {
+                let mut answered = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(query) = queries.get(i) else {
+                        return answered;
+                    };
+                    answered.push((i, reasoner.answer(query)));
+                }
             }
-        }
-        if respawned > 0 {
-            faults::WORKER_RESPAWNS.fetch_add(respawned as u64, Ordering::Relaxed);
-        }
-        respawned
-    }
-
-    /// Hand every (live) worker a handle to the job; late receivers see
-    /// an exhausted cursor and move on.
-    fn submit(&self, job: &BatchJob) {
-        let tx = self.tx.as_ref().expect("pool channel open while alive");
-        for _ in 0..self.workers {
-            tx.send(job.clone()).expect("pool receiver alive");
-        }
+        }))
     }
 
     /// Answer a batch on the pool; blocks until every query is answered.
@@ -1282,10 +1200,13 @@ impl WorkerPool {
     }
 
     /// Answer a batch within a wall-clock [`Budget`], under supervision:
-    /// dead workers are respawned (and the job re-offered) mid-wait, a
-    /// reasoner panic surfaces as a typed [`ApiError::Internal`], and an
-    /// exhausted budget returns [`ApiError::DeadlineExceeded`] — workers
-    /// still finishing the abandoned batch discard their results.
+    /// a reasoner panic surfaces as a typed [`ApiError::Internal`], and
+    /// an exhausted budget returns [`ApiError::DeadlineExceeded`] —
+    /// tasks still finishing the abandoned batch discard their results.
+    /// If every task of an offer died with its thread before the batch
+    /// was answered (a thread dies on task receipt, before it claims a
+    /// query), the batch is offered again, which replaces the dead
+    /// threads.
     pub fn answer_batch_within(
         &self,
         queries: &[Query],
@@ -1294,53 +1215,29 @@ impl WorkerPool {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        self.ensure_workers();
-        let (done_tx, done_rx) = mpsc::channel();
-        let job = BatchJob {
-            queries: Arc::new(queries.to_vec()),
-            next: Arc::new(AtomicUsize::new(0)),
-            slots: Arc::new(Mutex::new((0..queries.len()).map(|_| None).collect())),
-            filled: Arc::new(AtomicUsize::new(0)),
-            panicked: Arc::new(Mutex::new(None)),
-            done_tx,
-        };
-        self.submit(&job);
-        // Supervision wait: poll so that a worker killed *while holding
-        // this very job* (nothing left to signal `done`) still gets
-        // respawned and the job re-offered instead of hanging forever.
-        loop {
-            match done_rx.recv_timeout(budget.clamp(Duration::from_millis(50))) {
-                Ok(()) => break,
-                Err(mpsc::RecvTimeoutError::Timeout)
-                | Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    if budget.expired() {
-                        return Err(budget.exceeded());
-                    }
-                    if self.ensure_workers() > 0 {
-                        self.submit(&job);
+        let total = queries.len();
+        let queries = Arc::new(queries.to_vec());
+        let next = Arc::new(AtomicUsize::new(0));
+        let mut slots: Vec<Option<Answer>> = vec![None; total];
+        let mut filled = 0;
+        let mut offer = self.offer(&queries, &next);
+        while filled < total {
+            match executor::next_reply(&offer, budget) {
+                Ok(Ok(answered)) => {
+                    filled += answered.len();
+                    for (i, a) in answered {
+                        slots[i] = Some(a);
                     }
                 }
+                Ok(Err(panic)) => return Err(ApiError::Internal { detail: panic }),
+                Err(mpsc::RecvTimeoutError::Timeout) => return Err(budget.exceeded()),
+                Err(mpsc::RecvTimeoutError::Disconnected) => offer = self.offer(&queries, &next),
             }
         }
-        if let Some(msg) = job.panicked.lock().unwrap().take() {
-            return Err(ApiError::Internal { detail: msg });
-        }
-        let BatchJob { slots, .. } = job;
-        Ok(Arc::try_unwrap(slots)
-            .map(|m| m.into_inner().unwrap())
-            .unwrap_or_else(|slots| std::mem::take(&mut *slots.lock().unwrap()))
+        Ok(slots
             .into_iter()
             .map(|a| a.expect("every query slot filled"))
             .collect())
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.tx.take(); // close the channel → workers exit their recv loop
-        for h in self.handles.lock().unwrap().drain(..) {
-            let _ = h.join();
-        }
     }
 }
 
@@ -1485,6 +1382,9 @@ mod tests {
 
     #[test]
     fn pool_answer_batch_matches_sequential() {
+        // Fault plans are process-global: hold the lock so a concurrent
+        // test's plan cannot reach this pool's threads.
+        let _guard = faults::install(FaultPlan::new());
         let (kg, r) = policy_reasoner();
         let queries: Vec<Query> = kg
             .split
@@ -1500,6 +1400,9 @@ mod tests {
 
     #[test]
     fn pool_answer_batch_handles_empty_and_single_worker() {
+        // Fault plans are process-global: hold the lock so a concurrent
+        // test's plan cannot reach this pool's threads.
+        let _guard = faults::install(FaultPlan::new());
         let (_, r) = policy_reasoner();
         let one_worker = WorkerPool::new(Arc::clone(&r), 1);
         assert!(one_worker.answer_batch(&[]).is_empty());
@@ -1646,6 +1549,9 @@ mod tests {
 
     #[test]
     fn worker_pool_drop_joins_threads_cleanly() {
+        // Fault plans are process-global: hold the lock so a concurrent
+        // test's plan cannot reach this pool's threads.
+        let _guard = faults::install(FaultPlan::new());
         let (_, r) = policy_reasoner();
         let queries: Vec<Query> = (0..6)
             .map(|i| {

@@ -32,7 +32,7 @@
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 use mmkgr_kg::{
@@ -144,13 +144,8 @@ pub struct LiveGraphStore {
     /// Serializes writers and keeps WAL order identical to publish
     /// order; readers never take it.
     wal: Mutex<WalWriter>,
-    /// Batches waiting for a group-commit leader (empty when
-    /// `group_commit` is off).
+    /// Batches waiting for a group-commit leader.
     pending: Mutex<VecDeque<Arc<Ticket>>>,
-    /// Batch concurrent `apply` callers into one fsync (on by default;
-    /// the bench toggles it off to measure the one-fsync-per-batch
-    /// baseline).
-    group_commit: AtomicBool,
     /// Next WAL sequence number known fsync-durable: every record with
     /// `seq < committed` survives a crash. The replication shipper only
     /// ships below this watermark, so a follower can never see a frame
@@ -216,7 +211,6 @@ impl LiveGraphStore {
             graph: handle,
             wal: Mutex::new(writer),
             pending: Mutex::new(VecDeque::new()),
-            group_commit: AtomicBool::new(true),
             committed: AtomicU64::new(committed),
             applied: AtomicU64::new(0),
             replayed,
@@ -267,17 +261,6 @@ impl LiveGraphStore {
         self.compactions.load(Ordering::Relaxed)
     }
 
-    /// Turn group commit on or off (on by default). Off restores the
-    /// one-fsync-per-batch write path.
-    pub fn set_group_commit(&self, on: bool) {
-        self.group_commit.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether concurrent `apply` callers share fsyncs.
-    pub fn group_commit(&self) -> bool {
-        self.group_commit.load(Ordering::Relaxed)
-    }
-
     /// WAL sequence number below which every record is fsync-durable.
     pub fn committed_seq(&self) -> u64 {
         self.committed.load(Ordering::Acquire)
@@ -305,10 +288,6 @@ impl LiveGraphStore {
     /// The returned outcome's `stats.touched` lists every entity whose
     /// action space changed — the key for targeted cache invalidation.
     pub fn apply(&self, ops: &[TripleOp]) -> Result<MutationOutcome, LiveStoreError> {
-        if !self.group_commit.load(Ordering::Relaxed) {
-            let mut wal = self.wal.lock().unwrap_or_else(|e| e.into_inner());
-            return self.apply_one_locked(&mut wal, ops);
-        }
         let ticket = Arc::new(Ticket {
             ops: ops.to_vec(),
             done: Mutex::new(None),
@@ -334,42 +313,6 @@ impl LiveGraphStore {
             .collect();
         self.commit_group_locked(&mut wal, &group);
         ticket.take().expect("leader fills every drained ticket")
-    }
-
-    /// The pre-group-commit write path: one batch, one fsync.
-    fn apply_one_locked(
-        &self,
-        wal: &mut WalWriter,
-        ops: &[TripleOp],
-    ) -> Result<MutationOutcome, LiveStoreError> {
-        // Pin *under the writer lock*: `next` must succeed the currently
-        // published epoch, not a stale one.
-        let current = self.graph.pin();
-        let (next, stats) = current.apply_ops(ops).map_err(LiveStoreError::Invalid)?;
-        // Durability point: the record is fsynced before anyone can see
-        // the mutation. Crash-after-commit loses only the in-memory
-        // apply, which replay reconstructs.
-        let seq = wal.append(ops).map_err(LiveStoreError::Wal)?;
-        self.committed.store(wal.next_seq(), Ordering::Release);
-        let ordinal = self.applied.load(Ordering::Relaxed) + 1;
-        faults::maybe_wal_crash(ordinal);
-        let next = Arc::new(next);
-        let epoch = next.epoch();
-        self.track_epoch(epoch, &next);
-        self.graph.publish(next);
-        self.applied.store(ordinal, Ordering::Relaxed);
-        let pending = self.since_compact.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut compacted = false;
-        if self.compact_every > 0 && pending >= self.compact_every && self.rewrite.is_some() {
-            self.compact_locked(wal)?;
-            compacted = true;
-        }
-        Ok(MutationOutcome {
-            epoch,
-            seq,
-            stats,
-            compacted,
-        })
     }
 
     /// Commit a drained group: validate each batch against the evolving
@@ -422,7 +365,7 @@ impl LiveGraphStore {
             };
             // Compaction (if due) runs once, after the whole group; its
             // outcome — including a failed snapshot rewrite — lands on
-            // the group's final batch, matching the single-batch path.
+            // the group's final batch, as it does on `apply_replicated`.
             if n == last
                 && self.compact_every > 0
                 && pending >= self.compact_every
@@ -757,7 +700,6 @@ mod tests {
     fn concurrent_appliers_group_commit_every_batch() {
         let path = tmp("group");
         let store = Arc::new(LiveGraphStore::open(base_graph(), &path, 0).unwrap());
-        assert!(store.group_commit());
         // 4 writer threads toggling distinct edges: every batch must
         // commit, in some serial order, with WAL order == publish order.
         let threads: Vec<_> = (0..4)

@@ -790,7 +790,8 @@ pub struct RobustnessMetrics {
     /// Shard tasks retried after a failure or timeout.
     #[serde(default)]
     pub shard_retries: u64,
-    /// Pool workers respawned after a panic poisoned them.
+    /// Executor threads (batch or shard pool) respawned after a fault
+    /// killed them.
     #[serde(default)]
     pub worker_respawns: u64,
     /// Connections dropped with 408 for stalling mid-request.
@@ -1460,7 +1461,10 @@ mod tests {
     fn from_vocab_agrees_with_tsv_interning() {
         use mmkgr_kg::io::{read_triples, Vocab};
 
-        let path = std::env::temp_dir().join(format!("mmkgr_vocab_{}.tsv", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "mmkgr_vocab_{}_from_vocab_agrees_with_tsv_interning.tsv",
+            std::process::id()
+        ));
         std::fs::write(
             &path,
             "tokyo\tcapital_of\tjapan\njapan\tneighbor_of\tkorea\n",

@@ -404,7 +404,6 @@ fn decode_model(
 ) -> Result<Arc<dyn KgReasoner + Send + Sync>, SnapshotBuildError> {
     let n_ent = graph.num_entities();
     let rs = graph.relations();
-    let shard_err = |e| SnapshotBuildError::BadManifest(format!("sharding: {e}"));
     match entry.family.as_str() {
         "mmkgr" => {
             let json = std::str::from_utf8(snap.blob(entry.section)?).map_err(|_| {
@@ -413,22 +412,13 @@ fn decode_model(
             let model = MmkgrModel::from_json(json)
                 .map_err(|e| SnapshotBuildError::BadManifest(format!("mmkgr checkpoint: {e}")))?;
             // Built over the *shared* handle, so a live boot's published
-            // mutations become visible to the policy's beam walks.
-            let single: Arc<dyn KgReasoner + Send + Sync> = Arc::new(
+            // mutations become visible to the policy's beam walks. Served
+            // unsharded at any `shards`: a beam walks the whole graph
+            // from one source and cannot be range-split.
+            Ok(Arc::new(
                 PolicyReasoner::try_new_live(entry.name.clone(), model, handle.clone(), serve)
                     .map_err(|e| SnapshotBuildError::BadManifest(format!("serve config: {e}")))?,
-            );
-            if shards > 1 {
-                // Policy shards are source-routed replicas of one model
-                // (beam search cannot be range-split; see serve::sharded).
-                let replicas = (0..shards).map(|_| Arc::clone(&single)).collect();
-                Ok(Arc::new(
-                    ShardedReasoner::from_routed(entry.name.clone(), replicas)
-                        .map_err(shard_err)?,
-                ))
-            } else {
-                Ok(single)
-            }
+            ))
         }
         "kge" => {
             let (flat, _, _) = snap.f32_tensor(entry.section)?;
@@ -436,7 +426,7 @@ fn decode_model(
             if shards > 1 {
                 Ok(Arc::new(
                     ShardedReasoner::from_scorer(entry.name.clone(), kge, n_ent, rs, shards)
-                        .map_err(shard_err)?,
+                        .map_err(|e| SnapshotBuildError::BadManifest(format!("sharding: {e}")))?,
                 ))
             } else {
                 Ok(Arc::new(ScorerReasoner::new(
@@ -554,8 +544,8 @@ fn finish_boot(
 /// their sections, so boot time is file-open + parameter copy.
 ///
 /// `serve_override` replaces the snapshot's recorded [`ServeConfig`];
-/// `shards > 1` wraps every model in a [`ShardedReasoner`] (entity-range
-/// sharding for scorers, source-routed replicas for policies).
+/// `shards > 1` range-splits every KGE scorer behind a
+/// [`ShardedReasoner`]. Path reasoners are served unsharded.
 pub fn load_registry_snapshot(
     path: &Path,
     serve_override: Option<ServeConfig>,
@@ -731,6 +721,43 @@ mod tests {
                 .with_top_k(0);
             assert_eq!(booted.answer(&q), fresh.answer(&q));
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A path reasoner is one model however many shards the boot asks
+    /// for, so its cache is reported once: the same queries leave the
+    /// same cache block at `shards = 4` as at `shards = 1`.
+    #[test]
+    fn sharded_boot_reports_the_policy_cache_once() {
+        use mmkgr_core::serve::NamedQuery;
+
+        let h = tiny_harness();
+        let path = tmp("mmkgr-cache");
+        write_registry_snapshot(
+            &path,
+            &h,
+            &[ModelChoice::Mmkgr(Variant::Full)],
+            ServeConfig::default().with_cache(16),
+        )
+        .unwrap();
+        let boot = |shards| {
+            let loaded = load_registry_snapshot(&path, None, shards).unwrap();
+            for _ in 0..2 {
+                for e in ["e0", "e1", "e2"] {
+                    loaded
+                        .registry
+                        .answer_named(NamedQuery::new(e, "r0"))
+                        .unwrap();
+                }
+            }
+            (loaded.registry.models(), loaded.registry.model_metrics())
+        };
+        let (models_1, metrics_1) = boot(1);
+        let (models_4, metrics_4) = boot(4);
+        let cache = metrics_1[0].cache.expect("MMKGR caches");
+        assert_eq!((cache.entries, cache.hits, cache.misses), (3, 3, 3));
+        assert_eq!(models_4, models_1);
+        assert_eq!(metrics_4, metrics_1);
         std::fs::remove_file(&path).ok();
     }
 

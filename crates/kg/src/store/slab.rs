@@ -245,7 +245,10 @@ mod tests {
     #[cfg(all(unix, target_pointer_width = "64"))]
     #[test]
     fn mmap_roundtrip() {
-        let path = std::env::temp_dir().join(format!("mmkgr_slab_{}.bin", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "mmkgr_slab_{}_mmap_roundtrip.bin",
+            std::process::id()
+        ));
         let payload: Vec<u32> = (0..1024).collect();
         let bytes: Vec<u8> = payload.iter().flat_map(|v| v.to_ne_bytes()).collect();
         std::fs::write(&path, &bytes).unwrap();
@@ -264,7 +267,10 @@ mod tests {
     #[cfg(all(unix, target_pointer_width = "64"))]
     #[test]
     fn empty_file_maps_empty() {
-        let path = std::env::temp_dir().join(format!("mmkgr_slab_e_{}.bin", std::process::id()));
+        let path = std::env::temp_dir().join(format!(
+            "mmkgr_slab_{}_empty_file_maps_empty.bin",
+            std::process::id()
+        ));
         std::fs::write(&path, b"").unwrap();
         let file = std::fs::File::open(&path).unwrap();
         let map = Mmap::map_file(&file).unwrap();

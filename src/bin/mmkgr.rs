@@ -89,8 +89,10 @@ COMMANDS
              [--snapshot <file.mmkg>]  boot from a registry snapshot
                                        instead of training (no dataset
                                        flags needed)
-             [--shards <n>]            wrap each model in a sharded
-                                       reasoner (snapshot boot only)
+             [--shards <n>]            range-split each KGE scorer over
+                                       <n> entity shards; path reasoners
+                                       are served unsharded (snapshot
+                                       boot only)
              [--live]                  accept POST /v1/admin/mutate: WAL-
                                        backed crash-safe triple insert/
                                        delete (snapshot boot only)
