@@ -471,10 +471,13 @@ impl RunningServer {
     }
 
     /// Stop accepting, drain queued connections, and join every thread.
-    /// In-flight requests finish; the per-model worker pools join on
-    /// drop.
+    /// In-flight requests finish, replication tails end; the per-model
+    /// worker pools join on drop.
     pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        self.shared.stop.store(true, Ordering::Release);
+        if let Some(live) = self.shared.registry.live() {
+            live.wake_tails();
+        }
         // Wake the blocking accept() with a throwaway connection. A
         // wildcard bind (0.0.0.0 / ::) is not connectable everywhere, so
         // aim the wake-up at loopback on the bound port.
@@ -919,39 +922,79 @@ pub fn request_with_retries(
     body: &str,
     max_retries: u32,
 ) -> std::io::Result<(u16, String)> {
-    let (mut status, mut head, mut resp_body) = request_once(addr, method, path, body)?;
-    for _ in 0..max_retries {
-        if status != 503 {
-            break;
-        }
-        let Some(secs) = retry_after_secs(&head) else {
-            break;
-        };
-        std::thread::sleep(Duration::from_secs(secs.min(5)) + faults::jitter(250));
-        (status, head, resp_body) = request_once(addr, method, path, body)?;
+    let response = send(addr, method, path, body, max_retries)?;
+    let status = response.status;
+    let body = response.read_body()?;
+    Ok((status, String::from_utf8_lossy(&body).into_owned()))
+}
+
+/// A response whose head has been read: the stream is positioned in
+/// the body, and `prefix` holds the body bytes that arrived with the
+/// head.
+pub(crate) struct ClientResponse {
+    pub status: u16,
+    head: String,
+    pub stream: TcpStream,
+    pub prefix: Vec<u8>,
+}
+
+impl ClientResponse {
+    /// Case-insensitive lookup of one response header.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        header_value(&self.head, name)
     }
-    Ok((status, resp_body))
+
+    /// The whole body: the prefix plus the rest of the stream.
+    pub fn read_body(mut self) -> std::io::Result<Vec<u8>> {
+        self.stream.read_to_end(&mut self.prefix)?;
+        Ok(self.prefix)
+    }
 }
 
-/// Parse the whole-seconds `Retry-After` value out of a response head.
-pub(crate) fn retry_after_secs(head: &str) -> Option<u64> {
-    head.lines().find_map(|line| {
-        let (k, v) = line.split_once(':')?;
-        if k.trim().eq_ignore_ascii_case("retry-after") {
-            v.trim().parse().ok()
-        } else {
-            None
-        }
-    })
-}
-
-fn request_once(
-    addr: SocketAddr,
+/// Send one request (`Connection: close`) and read the response head,
+/// retrying as [`request_with_retries`] does. The client behind
+/// [`request`] and the replication bootstrap and tail, which read a
+/// binary body off the stream.
+pub(crate) fn send<A: ToSocketAddrs + std::fmt::Display + Copy>(
+    addr: A,
     method: &str,
     path: &str,
     body: &str,
-) -> std::io::Result<(u16, String, String)> {
-    let mut stream = TcpStream::connect(addr)?;
+    max_retries: u32,
+) -> std::io::Result<ClientResponse> {
+    let mut response = send_once(addr, method, path, body)?;
+    for _ in 0..max_retries {
+        if response.status != 503 {
+            break;
+        }
+        let Some(secs) = response
+            .header("retry-after")
+            .and_then(|v| v.parse::<u64>().ok())
+        else {
+            break;
+        };
+        drop(response);
+        std::thread::sleep(Duration::from_secs(secs.min(5)) + faults::jitter(250));
+        response = send_once(addr, method, path, body)?;
+    }
+    Ok(response)
+}
+
+/// Case-insensitive single-header lookup in a raw response head.
+fn header_value<'a>(head: &'a str, name: &str) -> Option<&'a str> {
+    head.lines().find_map(|line| {
+        let (k, v) = line.split_once(':')?;
+        k.trim().eq_ignore_ascii_case(name).then(|| v.trim())
+    })
+}
+
+fn send_once<A: ToSocketAddrs + std::fmt::Display>(
+    addr: A,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> std::io::Result<ClientResponse> {
+    let mut stream = TcpStream::connect(&addr)?;
     stream.set_nodelay(true)?;
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -962,18 +1005,34 @@ fn request_once(
     // (e.g. a 413); keep going and read whatever response made it out.
     let _ = stream.write_all(body.as_bytes());
     let _ = stream.flush();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8_lossy(&raw);
-    let mut parts = text.splitn(2, "\r\n\r\n");
-    let head = parts.next().unwrap_or_default().to_string();
-    let body = parts.next().unwrap_or_default().to_string();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    // A response cut short before its blank line is all head.
+    let (head_len, body_at) = loop {
+        if let Some(pos) = find_header_end(&buf) {
+            break (pos, pos + 4);
+        }
+        if buf.len() > 64 << 10 {
+            return Err(std::io::Error::other("response head exceeds 64 KiB"));
+        }
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            break (buf.len(), buf.len());
+        }
+        buf.extend_from_slice(&chunk[..n]);
+    };
+    let head = String::from_utf8_lossy(&buf[..head_len]).into_owned();
     let status: u16 = head
         .split(' ')
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, head, body))
+    Ok(ClientResponse {
+        status,
+        head,
+        stream,
+        prefix: buf.split_off(body_at),
+    })
 }
 
 #[cfg(test)]
@@ -983,6 +1042,7 @@ mod tests {
     use super::*;
     use crate::config::MmkgrConfig;
     use crate::model::MmkgrModel;
+    use faults::FaultPlan;
     use mmkgr_datagen::{generate, GenConfig};
 
     fn tiny_server() -> (mmkgr_kg::MultiModalKG, RunningServer) {
@@ -1017,6 +1077,7 @@ mod tests {
 
     #[test]
     fn healthz_models_and_metrics_respond() {
+        let _quiet = faults::install(FaultPlan::new());
         let (_, server) = tiny_server();
         let addr = server.addr();
         let (status, body) = request(addr, "GET", "/healthz", "").unwrap();
@@ -1041,6 +1102,7 @@ mod tests {
 
     #[test]
     fn answer_over_http_matches_in_process() {
+        let _quiet = faults::install(FaultPlan::new());
         let (kg, server) = tiny_server();
         let t = kg.split.test[0];
         let body = serde_json::to_string(&AnswerRequest {
@@ -1080,6 +1142,7 @@ mod tests {
 
     #[test]
     fn malformed_and_unroutable_requests_get_typed_errors() {
+        let _quiet = faults::install(FaultPlan::new());
         let (_, server) = tiny_server();
         let addr = server.addr();
 
@@ -1142,6 +1205,7 @@ mod tests {
 
     #[test]
     fn batch_route_runs_on_the_pool_and_matches_single_answers() {
+        let _quiet = faults::install(FaultPlan::new());
         let (kg, server) = tiny_server();
         let queries: Vec<NamedQuery> = kg
             .split
@@ -1180,6 +1244,7 @@ mod tests {
 
     #[test]
     fn retrieve_over_http_returns_subgraph_and_counts_paths() {
+        let _quiet = faults::install(FaultPlan::new());
         let (kg, server) = tiny_server();
         let t = kg.split.test[0];
         let body = format!(
@@ -1211,7 +1276,16 @@ mod tests {
     }
 
     #[test]
+    fn header_lookup_is_case_insensitive() {
+        let head = "HTTP/1.1 200 OK\r\nContent-Length: 42\r\nX-Mmkgr-Head-Seq: 7";
+        assert_eq!(header_value(head, "content-length"), Some("42"));
+        assert_eq!(header_value(head, "X-Mmkgr-Head-Seq"), Some("7"));
+        assert_eq!(header_value(head, "retry-after"), None);
+    }
+
+    #[test]
     fn shutdown_joins_all_threads() {
+        let _quiet = faults::install(FaultPlan::new());
         let (_, server) = tiny_server();
         let addr = server.addr();
         let (status, _) = request(addr, "GET", "/healthz", "").unwrap();

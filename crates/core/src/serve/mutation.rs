@@ -19,11 +19,20 @@
 //!    rename and the truncate is benign — recovery skips WAL records
 //!    below the snapshot's watermark.
 //!
+//! **Shipping**: the store is the replication source. Each committed
+//! frame — the exact bytes written to the WAL — is kept in memory from
+//! the previous compaction's watermark onward, and is published together
+//! with the `committed` watermark under one lock whose condvar wakes
+//! every waiting tail (`LiveGraphStore::tail`). A follower's
+//! [`LiveGraphStore::apply_replicated`] publishes the same way, so a
+//! promoted follower ships too.
+//!
 //! **Recovery** (= boot): load the newest valid snapshot, replay the WAL
 //! tail at or above the snapshot's `wal_seq` watermark, publish the
-//! result. [`mmkgr_kg::store::wal`] tolerates a torn final record
-//! (truncated, not replayed — it was never acknowledged) and fails
-//! loudly on interior corruption.
+//! result, and seed the shipping log with the replayed frames.
+//! [`mmkgr_kg::store::wal`] tolerates a torn final record (truncated,
+//! not replayed — it was never acknowledged) and fails loudly on
+//! interior corruption.
 //!
 //! The chaos crash points ([`super::faults::FaultPlan::wal_crash`],
 //! [`super::faults::FaultPlan::compact_crash`]) abort the process at the
@@ -31,10 +40,11 @@
 //! pre-truncate. CI's kill-and-reboot smoke drives them end to end.
 
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 
+use mmkgr_kg::store::wal::encode_frame;
 use mmkgr_kg::{
     GraphHandle, KnowledgeGraph, MutationError, MutationStats, TripleOp, WalError, WalRecord,
     WalWriter,
@@ -137,8 +147,96 @@ impl Ticket {
     }
 }
 
+/// Committed WAL frames kept for replication tails.
+struct FrameLog {
+    /// `seq` of `frames[0]`: the oldest seq a new tail may start from.
+    first: u64,
+    frames: VecDeque<Vec<u8>>,
+    /// Watermark of the latest compaction. The next compaction drops the
+    /// frames below it, so the log spans the current WAL generation and
+    /// the one before it.
+    generation: u64,
+    /// Cursors of connected tails. Compaction keeps every frame one of
+    /// them has yet to copy, so it never strands a connected follower.
+    tails: Vec<Weak<AtomicU64>>,
+}
+
+impl FrameLog {
+    /// One past the last committed seq.
+    fn end(&self) -> u64 {
+        self.first + self.frames.len() as u64
+    }
+
+    fn push(&mut self, seq: u64, frame: Vec<u8>) {
+        if seq != self.end() {
+            // A group whose fsync failed burnt the seqs in between. No
+            // tail can cross the hole, so the log restarts at `seq`.
+            self.frames.clear();
+            self.first = seq;
+        }
+        self.frames.push_back(frame);
+    }
+
+    fn compacted(&mut self, watermark: u64) {
+        let keep = self
+            .tails
+            .iter()
+            .filter_map(Weak::upgrade)
+            .map(|cursor| cursor.load(Ordering::Relaxed))
+            .fold(self.generation, u64::min);
+        while self.first < keep && self.frames.pop_front().is_some() {
+            self.first += 1;
+        }
+        self.generation = watermark;
+    }
+}
+
+/// A replication tail's position in a store's committed frames (see
+/// [`LiveGraphStore::tail`]).
+pub(crate) struct FrameCursor<'a> {
+    store: &'a LiveGraphStore,
+    /// Next seq to ship; registered in the log so compaction keeps it.
+    /// Read and written under the log lock only.
+    next: Arc<AtomicU64>,
+}
+
+impl FrameCursor<'_> {
+    /// Block until a frame at or past the cursor is committed, then copy
+    /// every committed frame from the cursor on and move past them.
+    /// Returns the frame bytes and how many frames they hold. `None`
+    /// once `stop` is raised, or when the frames this cursor needs are
+    /// gone (the log restarted after a failed fsync).
+    pub(crate) fn wait_frames(&mut self, stop: &AtomicBool) -> Option<(Vec<u8>, u64)> {
+        let mut log = self.store.log.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            // Checked under the lock `wake_tails` takes: no lost wakeup.
+            if stop.load(Ordering::Acquire) {
+                return None;
+            }
+            let at = self.next.load(Ordering::Relaxed);
+            if at < log.first {
+                return None;
+            }
+            if at < log.end() {
+                let mut bytes = Vec::new();
+                let frames = log.frames.range((at - log.first) as usize..);
+                let count = frames.len() as u64;
+                frames.for_each(|f| bytes.extend_from_slice(f));
+                self.next.store(log.end(), Ordering::Relaxed);
+                return Some((bytes, count));
+            }
+            log = self
+                .store
+                .shipped
+                .wait(log)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
 /// The serving write path: WAL-durable, epoch-versioned, periodically
-/// compacted live mutation over a [`GraphHandle`]. One per process.
+/// compacted live mutation over a [`GraphHandle`], and the source of
+/// the frames replication ships. One per process.
 pub struct LiveGraphStore {
     graph: GraphHandle,
     /// Serializes writers and keeps WAL order identical to publish
@@ -147,10 +245,13 @@ pub struct LiveGraphStore {
     /// Batches waiting for a group-commit leader.
     pending: Mutex<VecDeque<Arc<Ticket>>>,
     /// Next WAL sequence number known fsync-durable: every record with
-    /// `seq < committed` survives a crash. The replication shipper only
-    /// ships below this watermark, so a follower can never see a frame
-    /// the primary might lose.
+    /// `seq < committed` survives a crash. Raised together with `log`'s
+    /// end, so a tail only ever sees frames below it and a follower can
+    /// never see a frame the primary might lose.
     committed: AtomicU64,
+    log: Mutex<FrameLog>,
+    /// Signalled whenever `log` grows, and by [`Self::wake_tails`].
+    shipped: Condvar,
     /// Records applied live (post-boot) by this process.
     applied: AtomicU64,
     /// Records replayed from the WAL at boot.
@@ -190,6 +291,12 @@ impl LiveGraphStore {
         writer.set_next_seq(snapshot_seq);
         let mut graph = base;
         let mut replayed = 0u64;
+        let mut log = FrameLog {
+            first: snapshot_seq,
+            frames: VecDeque::new(),
+            generation: 0,
+            tails: Vec::new(),
+        };
         for rec in &records {
             if rec.seq < snapshot_seq {
                 continue; // already folded into the snapshot
@@ -202,16 +309,19 @@ impl LiveGraphStore {
                 })?;
             graph = Arc::new(next);
             replayed += 1;
+            log.push(rec.seq, encode_frame(rec.seq, &rec.ops));
         }
         let handle = GraphHandle::new(Arc::clone(&graph));
         let mut epochs = VecDeque::new();
         epochs.push_back((graph.epoch(), Arc::downgrade(&graph)));
-        let committed = writer.next_seq();
+        debug_assert_eq!(log.end(), writer.next_seq());
         Ok(LiveGraphStore {
             graph: handle,
             wal: Mutex::new(writer),
             pending: Mutex::new(VecDeque::new()),
-            committed: AtomicU64::new(committed),
+            committed: AtomicU64::new(log.end()),
+            log: Mutex::new(log),
+            shipped: Condvar::new(),
             applied: AtomicU64::new(0),
             replayed,
             compactions: AtomicU64::new(0),
@@ -266,14 +376,36 @@ impl LiveGraphStore {
         self.committed.load(Ordering::Acquire)
     }
 
-    /// Path of the WAL file backing this store (the replication
-    /// shipper's read source).
-    pub fn wal_file(&self) -> PathBuf {
-        self.wal
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .path()
-            .to_path_buf()
+    /// Open a replication tail at `from_seq`. Fails with the oldest
+    /// retained seq when `from_seq` predates it: those frames are folded
+    /// into the snapshot, and the follower must re-bootstrap.
+    pub(crate) fn tail(&self, from_seq: u64) -> Result<FrameCursor<'_>, u64> {
+        let mut log = self.log.lock().unwrap_or_else(|e| e.into_inner());
+        if from_seq < log.first {
+            return Err(log.first);
+        }
+        let next = Arc::new(AtomicU64::new(from_seq));
+        log.tails.retain(|t| t.strong_count() > 0);
+        log.tails.push(Arc::downgrade(&next));
+        Ok(FrameCursor { store: self, next })
+    }
+
+    /// Wake every blocked tail so it re-checks its stop flag (server
+    /// shutdown). Raise the flag first.
+    pub(crate) fn wake_tails(&self) {
+        let _log = self.log.lock().unwrap_or_else(|e| e.into_inner());
+        self.shipped.notify_all();
+    }
+
+    /// Append committed frames to the replication log and raise the
+    /// `committed` watermark in the same step, waking every tail.
+    fn publish_frames(&self, frames: impl IntoIterator<Item = (u64, Vec<u8>)>) {
+        let mut log = self.log.lock().unwrap_or_else(|e| e.into_inner());
+        for (seq, frame) in frames {
+            log.push(seq, frame);
+        }
+        self.committed.store(log.end(), Ordering::Release);
+        self.shipped.notify_all();
     }
 
     /// Validate → WAL-commit → apply → publish one batch; maybe compact.
@@ -323,15 +455,17 @@ impl LiveGraphStore {
         let mut graph = self.graph.pin();
         // (ticket index, successor graph, stats, seq) per staged batch.
         let mut staged: Vec<(usize, Arc<KnowledgeGraph>, MutationStats, u64)> = Vec::new();
+        let mut frames = Vec::new();
         for (i, ticket) in group.iter().enumerate() {
             match graph.apply_ops(&ticket.ops) {
                 Err(e) => ticket.fill(Err(LiveStoreError::Invalid(e))),
-                Ok((next, stats)) => match wal.append_unsynced(&ticket.ops) {
+                Ok((next, stats)) => match wal.write_frame(&ticket.ops) {
                     Err(e) => ticket.fill(Err(LiveStoreError::Wal(e))),
-                    Ok(seq) => {
+                    Ok((seq, frame)) => {
                         let next = Arc::new(next);
                         graph = Arc::clone(&next);
                         staged.push((i, next, stats, seq));
+                        frames.push((seq, frame));
                     }
                 },
             }
@@ -347,7 +481,7 @@ impl LiveGraphStore {
             }
             return;
         }
-        self.committed.store(wal.next_seq(), Ordering::Release);
+        self.publish_frames(frames);
         let last = staged.len() - 1;
         for (n, (i, next, stats, seq)) in staged.into_iter().enumerate() {
             let ordinal = self.applied.load(Ordering::Relaxed) + 1;
@@ -408,9 +542,10 @@ impl LiveGraphStore {
         let (next, stats) = current
             .apply_ops(&rec.ops)
             .map_err(LiveStoreError::Invalid)?;
-        let seq = wal.append(&rec.ops).map_err(LiveStoreError::Wal)?;
+        let (seq, frame) = wal.write_frame(&rec.ops).map_err(LiveStoreError::Wal)?;
+        wal.sync().map_err(LiveStoreError::Wal)?;
         debug_assert_eq!(seq, rec.seq);
-        self.committed.store(wal.next_seq(), Ordering::Release);
+        self.publish_frames([(seq, frame)]);
         let ordinal = self.applied.load(Ordering::Relaxed) + 1;
         // The same post-commit/pre-publish crash point as the primary
         // write path: `wal_crash` chaos plans fire on the shipping path
@@ -458,6 +593,10 @@ impl LiveGraphStore {
         // this is exactly what `compact_crash` chaos-tests.
         faults::maybe_compact_crash();
         wal.truncate().map_err(LiveStoreError::Wal)?;
+        self.log
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .compacted(watermark);
         // Same epoch, flattened representation: readers of the folded
         // graph see byte-identical answers (fold preserves the logical
         // view, truncated action spaces included).
@@ -783,6 +922,33 @@ mod tests {
         );
         let _ = std::fs::remove_file(&primary_wal);
         let _ = std::fs::remove_file(&follower_wal);
+    }
+
+    #[test]
+    fn tails_ship_the_wal_bytes_and_boot_reseeds_them() {
+        let path = tmp("tail-bytes");
+        let stop = AtomicBool::new(false);
+        {
+            let store = LiveGraphStore::open(base_graph(), &path, 0).unwrap();
+            store.apply(&[TripleOp::Insert(t(3, 0, 4))]).unwrap();
+            store
+                .apply(&[TripleOp::Insert(t(4, 0, 5)), TripleOp::Delete(t(0, 0, 1))])
+                .unwrap();
+            let wal = std::fs::read(&path).unwrap();
+            let (bytes, count) = store.tail(0).unwrap().wait_frames(&stop).unwrap();
+            assert_eq!((bytes.as_slice(), count), (&wal[8..], 2));
+            let (bytes, count) = store.tail(1).unwrap().wait_frames(&stop).unwrap();
+            assert_eq!(count, 1);
+            assert!(wal.ends_with(&bytes));
+        }
+        // Boot seeds the log from the replayed records, byte for byte.
+        let store = LiveGraphStore::open(base_graph(), &path, 0).unwrap();
+        let (bytes, _) = store.tail(0).unwrap().wait_frames(&stop).unwrap();
+        assert_eq!(bytes, std::fs::read(&path).unwrap()[8..]);
+        // A raised stop flag ends a tail that has nothing to wait for.
+        stop.store(true, Ordering::Release);
+        assert!(store.tail(2).unwrap().wait_frames(&stop).is_none());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

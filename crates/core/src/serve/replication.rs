@@ -1,16 +1,16 @@
 //! WAL-shipping replication: primary/follower read scaling over the
 //! serving stack's existing durability machinery.
 //!
-//! The design adds no second log and no second wire format. The
-//! primary's crash-safe WAL (see [`mmkgr_kg::store::wal`]) *is* the
-//! replication stream: committed frames are shipped verbatim — length,
-//! CRC32, payload — over a long-lived HTTP connection, and the follower
-//! appends them to its own WAL through the same
-//! [`LiveGraphStore`](super::mutation::LiveGraphStore) pipeline a local
-//! mutation takes. Epoch-versioned reads, frontier-cache invalidation,
-//! and compaction therefore work unchanged on both roles, and a
-//! follower's WAL replay after a restart is indistinguishable from a
-//! primary's.
+//! The design adds no second wire format: the shipped bytes are the
+//! primary's WAL frames (see [`mmkgr_kg::store::wal`]) — length, CRC32,
+//! payload — sent verbatim over a long-lived HTTP connection. The
+//! primary's [`LiveGraphStore`] keeps each frame in memory as it
+//! commits, and a tail blocks on the store until frames past its cursor
+//! exist; no file is re-read. The follower appends the frames to its
+//! own WAL through the same pipeline a local mutation takes.
+//! Epoch-versioned reads, frontier-cache invalidation, and compaction
+//! therefore work unchanged on both roles, and a follower's WAL replay
+//! after a restart is indistinguishable from a primary's.
 //!
 //! ```text
 //!            POST /v1/admin/replicate {"mode":"snapshot"}
@@ -26,12 +26,17 @@
 //! local WAL's `next_seq` and flip `/readyz` once caught up to the
 //! primary's head at connect time (`X-Mmkgr-Head-Seq`).
 //!
-//! **Committed-only shipping**: the tail never emits a frame with
-//! `seq >=` the primary's fsync watermark
-//! ([`LiveGraphStore::committed_seq`](super::mutation::LiveGraphStore::committed_seq)),
-//! so a follower can never observe a mutation the primary could still
-//! lose in a crash — zero committed-frame loss and no phantom frames,
-//! by construction.
+//! **Committed-only shipping**: a frame enters the store's log only
+//! after its group's fsync, in the same step that raises
+//! [`LiveGraphStore::committed_seq`], so a follower can never observe a
+//! mutation the primary could still lose in a crash — zero
+//! committed-frame loss and no phantom frames, by construction.
+//!
+//! **Retention**: the log holds every frame from the previous
+//! compaction's watermark onward (the current WAL generation and the one
+//! before it), plus whatever a connected tail has yet to copy. A tail can
+//! start anywhere in that range; below it the request fails with a
+//! [`is_snapshot_required`] error and the follower must re-bootstrap.
 //!
 //! **Promotion** (`POST /v1/admin/promote`): flips the role flag, which
 //! simultaneously stops the tailer, fences late frames from the old
@@ -40,7 +45,7 @@
 //! watermark.
 
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -48,15 +53,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use super::faults;
-use super::http::{retry_after_secs, write_response};
+use super::http::{self, write_response, ClientResponse};
+use super::mutation::LiveGraphStore;
 use super::protocol::{ApiError, ApiResponse, ReplicateRequest, ReplicationMetrics};
 use super::registry::ModelRegistry;
 use mmkgr_kg::store::wal;
 use mmkgr_kg::WalRecord;
-
-/// How long the shipper sleeps when the WAL has no new committed frames
-/// (and how often it re-checks the server stop flag).
-const SHIP_POLL: Duration = Duration::from_millis(10);
 
 /// The error detail prefix a tail request gets when `from_seq` predates
 /// the oldest retained WAL frame (compaction folded it into the
@@ -75,7 +77,8 @@ const HEAD_SEQ_HEADER: &str = "X-Mmkgr-Head-Seq";
 pub struct ReplicaSource {
     /// The `.mmkg` registry snapshot served to bootstrapping followers.
     pub snapshot: PathBuf,
-    /// The WAL file whose committed frames are tailed.
+    /// The node's WAL file. Shipping does not read it: tails are served
+    /// from the live store's committed frames.
     pub wal: PathBuf,
 }
 
@@ -88,7 +91,7 @@ pub struct ReplicationState {
     /// The primary this node bootstrapped from (`""` on a born-primary;
     /// kept after promotion for the metrics history).
     primary: String,
-    source: Option<ReplicaSource>,
+    source: ReplicaSource,
     frames_shipped: AtomicU64,
     reconnects: AtomicU64,
     /// Follower watermarks, both in "next seq" convention: `received` is
@@ -104,30 +107,25 @@ pub struct ReplicationState {
 impl ReplicationState {
     /// A writable primary shipping `source` to followers.
     pub fn primary(source: ReplicaSource) -> Self {
-        ReplicationState {
-            follower: AtomicBool::new(false),
-            primary: String::new(),
-            source: Some(source),
-            frames_shipped: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            received: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
-            caught_up: AtomicBool::new(true),
-        }
+        Self::new(false, String::new(), source)
     }
 
     /// A read-only follower tailing `primary_addr`, keeping its own
     /// shippable `source`.
     pub fn follower(primary_addr: impl Into<String>, source: ReplicaSource) -> Self {
+        Self::new(true, primary_addr.into(), source)
+    }
+
+    fn new(follower: bool, primary: String, source: ReplicaSource) -> Self {
         ReplicationState {
-            follower: AtomicBool::new(true),
-            primary: primary_addr.into(),
-            source: Some(source),
+            follower: AtomicBool::new(follower),
+            primary,
+            source,
             frames_shipped: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
             received: AtomicU64::new(0),
             applied: AtomicU64::new(0),
-            caught_up: AtomicBool::new(false),
+            caught_up: AtomicBool::new(!follower),
         }
     }
 
@@ -176,12 +174,8 @@ impl ReplicationState {
         }
     }
 
-    fn source(&self) -> Option<&ReplicaSource> {
-        self.source.as_ref()
-    }
-
-    fn note_shipped(&self) {
-        self.frames_shipped.fetch_add(1, Ordering::Relaxed);
+    fn note_shipped(&self, frames: u64) {
+        self.frames_shipped.fetch_add(frames, Ordering::Relaxed);
     }
 
     fn note_reconnect(&self) {
@@ -236,21 +230,16 @@ fn replicate_inner(
         serde_json::from_str(body).map_err(|e| ApiError::MalformedRequest {
             detail: e.to_string(),
         })?;
-    let source = registry
-        .replication()
-        .and_then(|r| r.source())
-        .cloned()
-        .ok_or_else(|| ApiError::Internal {
-            detail: "this server is not a replication source (serve from --snapshot with --wal)"
-                .to_string(),
-        })?;
+    let rep = registry.replication().ok_or_else(|| ApiError::Internal {
+        detail: "this server is not a replication source (serve from --snapshot with --wal)"
+            .to_string(),
+    })?;
     let live = registry.live().ok_or_else(|| ApiError::Internal {
         detail: "this server has no live store to replicate from".to_string(),
     })?;
-    let rep = registry.replication().expect("source implies state");
     match req.mode.as_str() {
-        "snapshot" => ship_snapshot(stream, &source.snapshot, live.committed_seq()),
-        "tail" => ship_tail(stream, &source.wal, req.from_seq, registry, rep, stop),
+        "snapshot" => ship_snapshot(stream, &rep.source.snapshot, live.committed_seq()),
+        "tail" => ship_tail(stream, req.from_seq, live, rep, stop),
         other => Err(ApiError::MalformedRequest {
             detail: format!("replicate mode must be \"snapshot\" or \"tail\", got {other:?}"),
         }),
@@ -290,29 +279,22 @@ fn ship_snapshot(stream: &mut TcpStream, path: &Path, head_seq: u64) -> Result<(
 /// decoder the recovery path uses.
 fn ship_tail(
     stream: &mut TcpStream,
-    wal_path: &Path,
     from_seq: u64,
-    registry: &ModelRegistry,
+    live: &LiveGraphStore,
     rep: &ReplicationState,
     stop: &AtomicBool,
 ) -> Result<(), ApiError> {
-    let live = registry.live().expect("caller checked");
     let committed = live.committed_seq();
     if from_seq > committed {
         return Err(ApiError::MalformedRequest {
             detail: format!("from_seq {from_seq} is ahead of the primary head {committed}"),
         });
     }
-    let mut file = open_wal_checked(wal_path)?;
-    if from_seq < committed && !frame_available(&mut file, from_seq)? {
-        // The requested frames were folded into the snapshot by a
-        // compaction; the follower must re-bootstrap.
-        return Err(ApiError::Internal {
-            detail: format!(
-                "{SNAPSHOT_REQUIRED}: from_seq {from_seq} predates the oldest retained WAL frame"
-            ),
-        });
-    }
+    let mut tail = live.tail(from_seq).map_err(|oldest| ApiError::Internal {
+        detail: format!(
+            "{SNAPSHOT_REQUIRED}: from_seq {from_seq} predates the oldest retained frame {oldest}"
+        ),
+    })?;
     let head = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n{HEAD_SEQ_HEADER}: {committed}\r\nConnection: close\r\n\r\n",
     );
@@ -325,113 +307,12 @@ fn ship_tail(
     stream.write_all(head.as_bytes()).map_err(done)?;
     stream.write_all(&wal::header_bytes()).map_err(done)?;
     stream.flush().map_err(done)?;
-
-    let mut pos = wal::HEADER_LEN;
-    file.seek(SeekFrom::Start(pos)).map_err(done)?;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut cursor = from_seq; // next seq to ship
-    let mut chunk = [0u8; 64 << 10];
-    while !stop.load(Ordering::Relaxed) {
-        let len = file.metadata().map_err(done)?.len();
-        if len < pos {
-            // Compaction truncated the WAL under us. Frames resume at
-            // `next_seq` with no gap, so rewind and keep decoding; the
-            // seq cursor drops anything we already shipped.
-            file.seek(SeekFrom::Start(wal::HEADER_LEN)).map_err(done)?;
-            pos = wal::HEADER_LEN;
-            buf.clear();
-            continue;
-        }
-        let mut progressed = false;
-        if len > pos {
-            let n = file.read(&mut chunk).map_err(done)?;
-            if n > 0 {
-                buf.extend_from_slice(&chunk[..n]);
-                pos += n as u64;
-                progressed = true;
-            }
-        }
-        // Ship every complete, fsync-durable frame in the buffer.
-        loop {
-            let (rec, used) = match wal::decode_frame(&buf) {
-                Ok(Some(hit)) => hit,
-                Ok(None) => break, // incomplete tail — wait for more bytes
-                Err(e) => {
-                    // Interior corruption: stop shipping rather than
-                    // relay bad frames (the primary's own recovery owns
-                    // this file's fate).
-                    return Err(ApiError::Internal {
-                        detail: format!("wal corrupt under tail: {e}"),
-                    });
-                }
-            };
-            if rec.seq >= live.committed_seq() {
-                break; // written but not yet fsynced — never ship early
-            }
-            if rec.seq >= cursor {
-                if rec.seq > cursor {
-                    return Err(ApiError::Internal {
-                        detail: format!("wal gap under tail: jumped to seq {}", rec.seq),
-                    });
-                }
-                stream.write_all(&buf[..used]).map_err(done)?;
-                stream.flush().map_err(done)?;
-                rep.note_shipped();
-                cursor = rec.seq + 1;
-            }
-            buf.drain(..used);
-            progressed = true;
-        }
-        if !progressed {
-            std::thread::sleep(SHIP_POLL);
-        }
+    while let Some((frames, count)) = tail.wait_frames(stop) {
+        stream.write_all(&frames).map_err(done)?;
+        stream.flush().map_err(done)?;
+        rep.note_shipped(count);
     }
     Ok(())
-}
-
-fn open_wal_checked(path: &Path) -> Result<File, ApiError> {
-    let io_err = |detail: String| ApiError::Internal { detail };
-    let mut file =
-        File::open(path).map_err(|e| io_err(format!("open wal {}: {e}", path.display())))?;
-    let mut head = [0u8; wal::HEADER_LEN as usize];
-    file.read_exact(&mut head)
-        .map_err(|e| io_err(format!("read wal header: {e}")))?;
-    wal::check_header(&head).map_err(|e| io_err(format!("bad wal header: {e}")))?;
-    Ok(file)
-}
-
-/// Is a frame with exactly `from_seq` still present in the WAL file?
-/// (Frames are contiguous, so it is enough to check the first one.)
-/// Leaves the file positioned after the header.
-fn frame_available(file: &mut File, from_seq: u64) -> Result<bool, ApiError> {
-    file.seek(SeekFrom::Start(wal::HEADER_LEN))
-        .map_err(|e| ApiError::Internal {
-            detail: format!("seek wal: {e}"),
-        })?;
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let first = loop {
-        match wal::decode_frame(&buf) {
-            Ok(Some((rec, _))) => break Some(rec.seq),
-            Ok(None) => {}
-            // A torn tail at the very first frame: treat as no frames.
-            Err(_) => break None,
-        }
-        match file.read(&mut chunk) {
-            Ok(0) => break None,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => {
-                return Err(ApiError::Internal {
-                    detail: format!("read wal: {e}"),
-                })
-            }
-        }
-    };
-    file.seek(SeekFrom::Start(wal::HEADER_LEN))
-        .map_err(|e| ApiError::Internal {
-            detail: format!("seek wal: {e}"),
-        })?;
-    Ok(first.is_some_and(|s| s <= from_seq))
 }
 
 // ------------------------------------------------------ follower (tail)
@@ -442,57 +323,42 @@ pub fn is_snapshot_required(detail: &str) -> bool {
 }
 
 /// Fetch the primary's current `.mmkg` snapshot into `dest`. Binary
-/// bytes, so this cannot go through the text-only
-/// [`super::http::request`] client. 503 + `Retry-After` (the primary
-/// still warming up, or shedding) is honored for up to `max_retries`
-/// rounds — the long-bootstrap loop the bundled client's single retry
-/// was too impatient for. Returns the primary's committed head seq.
+/// bytes, so the body is streamed to the file rather than read as text.
+/// 503 + `Retry-After` (the primary still warming up, or shedding) is
+/// honored for up to `max_retries` rounds — the long-bootstrap loop the
+/// bundled client's single retry was too impatient for. Returns the
+/// primary's committed head seq.
 pub fn fetch_snapshot(primary: &str, dest: &Path, max_retries: u32) -> io::Result<u64> {
-    let body = r#"{"mode": "snapshot"}"#;
-    let mut attempt = 0u32;
-    loop {
-        let (status, head, mut stream, prefix) = replicate_head(primary, body)?;
-        if status == 503 && attempt < max_retries {
-            if let Some(secs) = retry_after_secs(&head) {
-                attempt += 1;
-                drop(stream);
-                std::thread::sleep(Duration::from_secs(secs.min(5)) + faults::jitter(250));
-                continue;
-            }
-        }
-        if status != 200 {
-            let mut rest = prefix;
-            let _ = stream.read_to_end(&mut rest);
-            return Err(io::Error::other(format!(
-                "snapshot fetch: HTTP {status}: {}",
-                String::from_utf8_lossy(&rest)
-            )));
-        }
-        let content_length: u64 = header_value(&head, "content-length")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| io::Error::other("snapshot fetch: missing Content-Length"))?;
-        let head_seq: u64 = header_value(&head, &HEAD_SEQ_HEADER.to_ascii_lowercase())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        // Write via a sibling tmp so a failed fetch never leaves a
-        // half-snapshot where the boot path would find it.
-        let tmp = dest.with_extension("mmkg.fetch");
-        let mut out = File::create(&tmp)?;
-        out.write_all(&prefix)?;
-        // Connection: close — the body runs to EOF and is exactly
-        // Content-Length bytes; anything else is a torn transfer.
-        let got = prefix.len() as u64 + io::copy(&mut stream, &mut out)?;
-        if got != content_length {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(io::Error::other(format!(
-                "snapshot fetch: truncated body ({got} of {content_length} bytes)"
-            )));
-        }
-        out.sync_data()?;
-        drop(out);
-        std::fs::rename(&tmp, dest)?;
-        return Ok(head_seq);
+    let mut response = replicate(primary, r#"{"mode": "snapshot"}"#, max_retries)?;
+    if response.status != 200 {
+        return Err(refused("snapshot fetch", response));
     }
+    let content_length: u64 = response
+        .header("content-length")
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| io::Error::other("snapshot fetch: missing Content-Length"))?;
+    let head_seq: u64 = response
+        .header(HEAD_SEQ_HEADER)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    // Write via a sibling tmp so a failed fetch never leaves a
+    // half-snapshot where the boot path would find it.
+    let tmp = dest.with_extension("mmkg.fetch");
+    let mut out = File::create(&tmp)?;
+    out.write_all(&response.prefix)?;
+    // Connection: close — the body runs to EOF and is exactly
+    // Content-Length bytes; anything else is a torn transfer.
+    let got = response.prefix.len() as u64 + io::copy(&mut response.stream, &mut out)?;
+    if got != content_length {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(io::Error::other(format!(
+            "snapshot fetch: truncated body ({got} of {content_length} bytes)"
+        )));
+    }
+    out.sync_data()?;
+    drop(out);
+    std::fs::rename(&tmp, dest)?;
+    Ok(head_seq)
 }
 
 /// A live tail session: frames decoded off the socket one at a time.
@@ -509,19 +375,20 @@ pub struct TailSession {
 /// when the primary has compacted past `from_seq`.
 pub fn connect_tail(primary: &str, from_seq: u64) -> io::Result<TailSession> {
     let body = format!(r#"{{"mode": "tail", "from_seq": {from_seq}}}"#);
-    let (status, head, mut stream, mut prefix) = replicate_head(primary, &body)?;
-    if status != 200 {
-        let _ = stream.read_to_end(&mut prefix);
-        return Err(io::Error::other(format!(
-            "tail connect: HTTP {status}: {}",
-            String::from_utf8_lossy(&prefix)
-        )));
+    let response = replicate(primary, &body, 0)?;
+    if response.status != 200 {
+        return Err(refused("tail connect", response));
     }
-    let head_seq: u64 = header_value(&head, &HEAD_SEQ_HEADER.to_ascii_lowercase())
+    let head_seq: u64 = response
+        .header(HEAD_SEQ_HEADER)
         .and_then(|v| v.parse().ok())
         .unwrap_or(from_seq);
+    let ClientResponse {
+        mut stream,
+        prefix: mut buf,
+        ..
+    } = response;
     // The stream opens with the standard WAL preamble.
-    let mut buf = prefix;
     let mut chunk = [0u8; 4096];
     while buf.len() < wal::HEADER_LEN as usize {
         let n = stream.read(&mut chunk)?;
@@ -645,56 +512,180 @@ pub fn run_tailer(registry: Arc<ModelRegistry>, rep: Arc<ReplicationState>) {
 
 // --------------------------------------------------------- raw client IO
 
-/// POST `/v1/admin/replicate` and read just the response head. Returns
-/// `(status, head, stream, body_prefix)` — the prefix is whatever body
-/// bytes arrived in the same reads as the head.
-#[allow(clippy::type_complexity)]
-fn replicate_head(primary: &str, body: &str) -> io::Result<(u16, String, TcpStream, Vec<u8>)> {
-    let mut stream = TcpStream::connect(primary)?;
-    stream.set_nodelay(true)?;
-    let head = format!(
-        "POST /v1/admin/replicate HTTP/1.1\r\nHost: {primary}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let header_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        if buf.len() > 64 << 10 {
-            return Err(io::Error::other("replicate: response head exceeds 64 KiB"));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::other("replicate: connection closed in head"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..header_end]).into_owned();
-    let prefix = buf[header_end + 4..].to_vec();
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, head, stream, prefix))
+/// POST `/v1/admin/replicate` and read the response head.
+fn replicate(primary: &str, body: &str, max_retries: u32) -> io::Result<ClientResponse> {
+    http::send(primary, "POST", "/v1/admin/replicate", body, max_retries)
 }
 
-/// Case-insensitive single-header lookup in a raw response head.
-fn header_value<'a>(head: &'a str, name_lower: &str) -> Option<&'a str> {
-    head.lines().find_map(|line| {
-        let (k, v) = line.split_once(':')?;
-        (k.trim().to_ascii_lowercase() == name_lower).then(|| v.trim())
-    })
+/// The error for a non-200 replicate response, carrying its body (where
+/// the primary's `snapshot required` signal lives).
+fn refused(what: &str, response: ClientResponse) -> io::Error {
+    let status = response.status;
+    let body = response.read_body().unwrap_or_default();
+    io::Error::other(format!(
+        "{what}: HTTP {status}: {}",
+        String::from_utf8_lossy(&body)
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use super::super::faults::{self, FaultPlan};
+    use super::super::http::{HttpServer, HttpServerConfig, RunningServer};
+    use super::super::mutation::LiveGraphStore;
+    use super::super::protocol::NameIndex;
+    use mmkgr_kg::{KnowledgeGraph, Triple, TripleOp};
+    use std::time::Instant;
+
+    fn tmp(name: &str) -> PathBuf {
+        let p = std::env::temp_dir().join(format!("mmkgr-repl-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_file(&p);
+        p
+    }
+
+    fn graph() -> Arc<KnowledgeGraph> {
+        Arc::new(KnowledgeGraph::from_triples(
+            6,
+            2,
+            vec![Triple::new(0, 0, 1), Triple::new(1, 0, 2)],
+            None,
+        ))
+    }
+
+    /// Batch `i` of a run that is valid in order: insert one edge on
+    /// even `i`, delete it again on odd `i`.
+    fn toggle(i: u64) -> Vec<TripleOp> {
+        let t = Triple::new(2, 1, 3);
+        vec![if i.is_multiple_of(2) {
+            TripleOp::Insert(t)
+        } else {
+            TripleOp::Delete(t)
+        }]
+    }
+
+    /// A primary that compacts after every `compact_every` batches (the
+    /// snapshot rewrite is a no-op), served over HTTP as a replication
+    /// source.
+    fn primary(name: &str, compact_every: u64) -> (Arc<LiveGraphStore>, RunningServer) {
+        let wal = tmp(&format!("{name}-primary.wal"));
+        let live = Arc::new(
+            LiveGraphStore::open(graph(), &wal, 0)
+                .unwrap()
+                .with_compaction(compact_every, Box::new(|_, _| Ok(()))),
+        );
+        let mut reg = ModelRegistry::new(NameIndex::synthetic(6, 2));
+        reg.set_live(Arc::clone(&live));
+        reg.set_replication(Arc::new(ReplicationState::primary(ReplicaSource {
+            snapshot: tmp(&format!("{name}-primary.mmkg")),
+            wal,
+        })));
+        let cfg = HttpServerConfig {
+            conn_threads: 8,
+            ..HttpServerConfig::default()
+        };
+        let server = HttpServer::bind(("127.0.0.1", 0), Arc::new(reg), cfg)
+            .unwrap()
+            .spawn();
+        (live, server)
+    }
+
+    fn next_frame(tail: &mut TailSession) -> WalRecord {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Some(rec) = tail.next_record().unwrap() {
+                return rec;
+            }
+            assert!(Instant::now() < deadline, "no frame within 10 s");
+        }
+    }
+
+    #[test]
+    fn compaction_under_a_connected_tail_never_strands_the_follower() {
+        let _quiet = faults::install(FaultPlan::new());
+        let (primary, server) = primary("strand", 1);
+        let follower_wal = tmp("strand-follower.wal");
+        let follower = Arc::new(LiveGraphStore::open(graph(), &follower_wal, 0).unwrap());
+        let rep = Arc::new(ReplicationState::follower(
+            server.addr().to_string(),
+            ReplicaSource {
+                snapshot: tmp("strand-follower.mmkg"),
+                wal: follower_wal,
+            },
+        ));
+        let mut reg = ModelRegistry::new(NameIndex::synthetic(6, 2));
+        reg.set_live(Arc::clone(&follower));
+        reg.set_replication(Arc::clone(&rep));
+        let tailer = {
+            let (reg, rep) = (Arc::new(reg), Arc::clone(&rep));
+            std::thread::spawn(move || run_tailer(reg, rep))
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !rep.is_caught_up() {
+            assert!(Instant::now() < deadline, "the tail never connected");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        // Every batch folds and truncates the primary's WAL while the
+        // follower's tail is connected.
+        for i in 0..200 {
+            primary.apply(&toggle(i)).unwrap();
+        }
+        assert_eq!(primary.compactions(), 200);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while follower.committed_seq() < primary.committed_seq() {
+            assert!(
+                Instant::now() < deadline,
+                "follower stranded at seq {} behind the primary head {}",
+                follower.committed_seq(),
+                primary.committed_seq()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(follower.epoch(), primary.epoch());
+        assert_eq!(rep.metrics().reconnects, 0, "the tail was never cut");
+
+        rep.promote();
+        tailer.join().unwrap();
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_tail_resumes_anywhere_in_the_previous_generation_and_no_earlier() {
+        let _quiet = faults::install(FaultPlan::new());
+        let (primary, server) = primary("retain", 2);
+        for i in 0..7 {
+            primary.apply(&toggle(i)).unwrap();
+        }
+        // Compactions at watermarks 2, 4 and 6: seqs 4 and 5 are the
+        // previous WAL generation, seq 6 the current one.
+        assert_eq!(primary.compactions(), 3);
+        let addr = server.addr().to_string();
+
+        let err = connect_tail(&addr, 3).err().expect("seq 3 is folded");
+        assert!(is_snapshot_required(&err.to_string()), "{err}");
+
+        for from in [5, 4] {
+            let mut tail = connect_tail(&addr, from).unwrap();
+            assert_eq!(tail.head_seq, 7);
+            for seq in from..7 {
+                let rec = next_frame(&mut tail);
+                assert_eq!((rec.seq, rec.ops), (seq, toggle(seq)));
+            }
+        }
+        // The last tail (from 4) stays live: the next commit, and the
+        // compaction it trips, reach it too.
+        let mut tail = connect_tail(&addr, 4).unwrap();
+        for seq in 4..7 {
+            assert_eq!(next_frame(&mut tail).seq, seq);
+        }
+        primary.apply(&toggle(7)).unwrap();
+        assert_eq!(primary.compactions(), 4);
+        let rec = next_frame(&mut tail);
+        assert_eq!((rec.seq, rec.ops), (7, toggle(7)));
+        server.shutdown();
+    }
 
     #[test]
     fn replication_state_tracks_roles_and_lag() {
@@ -736,13 +727,5 @@ mod tests {
             format!("{SNAPSHOT_REQUIRED}: from_seq 3 predates the oldest retained WAL frame");
         assert!(is_snapshot_required(&detail));
         assert!(!is_snapshot_required("replication gap: got seq 9"));
-    }
-
-    #[test]
-    fn header_lookup_is_case_insensitive() {
-        let head = "HTTP/1.1 200 OK\r\nContent-Length: 42\r\nX-Mmkgr-Head-Seq: 7";
-        assert_eq!(header_value(head, "content-length"), Some("42"));
-        assert_eq!(header_value(head, "x-mmkgr-head-seq"), Some("7"));
-        assert_eq!(header_value(head, "retry-after"), None);
     }
 }

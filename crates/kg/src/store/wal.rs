@@ -35,7 +35,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use super::snapshot::crc32;
 use crate::ids::{EntityId, RelationId};
@@ -139,87 +139,43 @@ fn scan_frames(bytes: &[u8]) -> Result<Scan, WalError> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     let mut next_seq = 0u64;
-    loop {
+    while pos < bytes.len() {
         let offset = HEADER_LEN + pos as u64;
         let rest = &bytes[pos..];
-        if rest.is_empty() {
-            break;
-        }
-        if rest.len() < FRAME_HEAD {
-            break; // torn tail: frame head itself is incomplete
-        }
-        let len = read_u32(rest, 0) as usize;
-        let crc = read_u32(rest, 4);
-        if len > MAX_PAYLOAD as usize {
-            return Err(WalError::Corrupt {
-                offset,
-                reason: format!("frame length {len} exceeds maximum {MAX_PAYLOAD}"),
-            });
-        }
-        if rest.len() < FRAME_HEAD + len {
-            break; // torn tail: payload extends past EOF
-        }
-        let payload = &rest[FRAME_HEAD..FRAME_HEAD + len];
-        let computed = crc32(payload);
-        let is_last = rest.len() == FRAME_HEAD + len;
-        if computed != crc {
-            if is_last {
-                break; // torn tail: crash mid-write of the final frame
+        let (rec, used) = match decode_frame(rest) {
+            Ok(Some(hit)) => hit,
+            // Torn tail: the final frame extends past EOF.
+            Ok(None) => break,
+            // Torn tail: a crash mid-write of the final frame.
+            Err(_) if is_torn_final_frame(rest) => break,
+            Err(WalError::Corrupt { reason, .. }) => {
+                return Err(WalError::Corrupt { offset, reason })
             }
+            Err(e) => return Err(e),
+        };
+        if rec.seq < next_seq {
             return Err(WalError::Corrupt {
                 offset,
-                reason: format!("crc mismatch: stored {crc:#010x}, computed {computed:#010x}"),
+                reason: format!("sequence regression: {} after {}", rec.seq, next_seq - 1),
             });
         }
-        if len < PAYLOAD_FIXED {
-            return Err(WalError::Corrupt {
-                offset,
-                reason: format!("payload too short for record header ({len} bytes)"),
-            });
-        }
-        let seq = read_u64(payload, 0);
-        let op_count = read_u32(payload, 8) as usize;
-        if len != PAYLOAD_FIXED + op_count * OP_LEN {
-            return Err(WalError::Corrupt {
-                offset,
-                reason: format!("payload length {len} does not match op count {op_count}"),
-            });
-        }
-        if seq < next_seq {
-            return Err(WalError::Corrupt {
-                offset,
-                reason: format!("sequence regression: {seq} after {}", next_seq - 1),
-            });
-        }
-        let mut ops = Vec::with_capacity(op_count);
-        for i in 0..op_count {
-            let at = PAYLOAD_FIXED + i * OP_LEN;
-            let kind = payload[at];
-            let t = Triple {
-                s: EntityId(read_u32(payload, at + 1)),
-                r: RelationId(read_u32(payload, at + 5)),
-                o: EntityId(read_u32(payload, at + 9)),
-            };
-            ops.push(match kind {
-                0 => TripleOp::Insert(t),
-                1 => TripleOp::Delete(t),
-                k => {
-                    return Err(WalError::Corrupt {
-                        offset,
-                        reason: format!("unknown op kind {k}"),
-                    })
-                }
-            });
-        }
-        records.push(WalRecord { seq, ops });
-        next_seq = seq + 1;
-        pos += FRAME_HEAD + len;
+        next_seq = rec.seq + 1;
+        records.push(rec);
+        pos += used;
     }
     Ok(Scan {
         records,
         valid_len: HEADER_LEN + pos as u64,
         next_seq,
     })
+}
+
+/// Is `rest` exactly one complete frame whose CRC does not match?
+fn is_torn_final_frame(rest: &[u8]) -> bool {
+    let len = read_u32(rest, 0) as usize;
+    len <= MAX_PAYLOAD as usize
+        && rest.len() == FRAME_HEAD + len
+        && crc32(&rest[FRAME_HEAD..]) != read_u32(rest, 4)
 }
 
 /// The 8-byte header a fresh WAL file (or a tail stream) starts with.
@@ -354,7 +310,6 @@ pub fn replay(path: &Path) -> Result<Vec<WalRecord>, WalError> {
 /// open so every append lands on a clean frame boundary.
 pub struct WalWriter {
     file: File,
-    path: PathBuf,
     next_seq: u64,
 }
 
@@ -395,7 +350,6 @@ impl WalWriter {
         Ok((
             WalWriter {
                 file,
-                path: path.to_path_buf(),
                 next_seq: scan.next_seq,
             },
             scan.records,
@@ -413,10 +367,6 @@ impl WalWriter {
         self.next_seq = self.next_seq.max(seq);
     }
 
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Append one atomic batch and fsync it. The record is committed —
     /// guaranteed to survive a crash — once this returns the sequence
     /// number it was logged under.
@@ -431,10 +381,17 @@ impl WalWriter {
     /// commit writes several frames and then syncs them all with one
     /// `sync_data`, turning N fsyncs into one.
     pub fn append_unsynced(&mut self, ops: &[TripleOp]) -> io::Result<u64> {
+        self.write_frame(ops).map(|(seq, _)| seq)
+    }
+
+    /// [`WalWriter::append_unsynced`], also returning the frame bytes it
+    /// wrote — the bytes a replication tail ships.
+    pub fn write_frame(&mut self, ops: &[TripleOp]) -> io::Result<(u64, Vec<u8>)> {
         let seq = self.next_seq;
-        self.file.write_all(&encode_frame(seq, ops))?;
+        let frame = encode_frame(seq, ops);
+        self.file.write_all(&frame)?;
         self.next_seq = seq + 1;
-        Ok(seq)
+        Ok((seq, frame))
     }
 
     /// Make every frame written so far durable (the commit point of
@@ -457,6 +414,7 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn t(s: u32, r: u32, o: u32) -> Triple {
         Triple {
